@@ -155,6 +155,17 @@ fn corrupt_and_mismatched_checkpoints_exit_two_with_named_errors() {
 }
 
 #[test]
+fn deeply_nested_checkpoint_exits_two_instead_of_overflowing_the_stack() {
+    let checkpoint = temp_path("nested_cp.json");
+    let cp = checkpoint.to_str().unwrap();
+    fs::write(&checkpoint, "[".repeat(200_000)).unwrap();
+    let out = sweep(&["--checkpoint", cp, "--resume"]);
+    assert_exit_2(&out, "corrupt checkpoint");
+    assert_exit_2(&out, "nesting too deep");
+    let _ = fs::remove_file(&checkpoint);
+}
+
+#[test]
 fn bad_campaign_flags_exit_two() {
     let out = sweep(&["--resume"]);
     assert_exit_2(&out, "--resume needs --checkpoint");

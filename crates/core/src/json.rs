@@ -162,9 +162,14 @@ impl Json {
     /// # Errors
     ///
     /// A description of the first malformed construct, including a
-    /// prefix of the offending text.
+    /// prefix of the offending text. Arrays and objects nested deeper
+    /// than [`MAX_DEPTH`] are an error, so hostile input cannot exhaust
+    /// the stack.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { rest: text };
+        let mut p = Parser {
+            rest: text,
+            depth: 0,
+        };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
@@ -175,8 +180,14 @@ impl Json {
     }
 }
 
+/// How many arrays and objects [`Json::parse`] accepts nested inside one
+/// another.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     rest: &'a str,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -210,8 +221,8 @@ impl Parser<'_> {
     fn value(&mut self) -> Result<Json, String> {
         self.skip_ws();
         match self.peek() {
-            Some('{') => self.object(),
-            Some('[') => self.array(),
+            Some('{') => self.nested(Self::object),
+            Some('[') => self.nested(Self::array),
             Some('"') => Ok(Json::Str(self.string()?)),
             Some('t') if self.eat_literal("true") => Ok(Json::Bool(true)),
             Some('f') if self.eat_literal("false") => Ok(Json::Bool(false)),
@@ -219,6 +230,18 @@ impl Parser<'_> {
             Some(c) if c == '-' || c == '+' || c.is_ascii_digit() || c == '.' => self.number(),
             _ => Err(format!("expected a JSON value at: {:.24}", self.rest)),
         }
+    }
+
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting too deep: more than {MAX_DEPTH} levels of arrays and objects"
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -315,6 +338,28 @@ mod tests {
             let v = Json::parse(text).unwrap();
             assert_eq!(v.render(), text, "{text}");
         }
+    }
+
+    #[test]
+    fn nesting_is_depth_limited() {
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_limit).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let err = Json::parse(&over).unwrap_err();
+        assert!(err.contains("nesting too deep"), "{err}");
+        let objects = format!(
+            "{}1{}",
+            "{\"k\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(Json::parse(&objects)
+            .unwrap_err()
+            .contains("nesting too deep"));
+        // Far past the limit: an error, not a stack overflow.
+        let hostile = "[".repeat(200_000);
+        assert!(Json::parse(&hostile)
+            .unwrap_err()
+            .contains("nesting too deep"));
     }
 
     #[test]

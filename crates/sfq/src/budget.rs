@@ -88,9 +88,11 @@ pub const CYCLE_HIST_BUCKETS: usize = 65;
 /// resolution for a fixed 65-word footprint, which keeps
 /// latency-accounting structs `Copy` and mergeable across sessions
 /// without allocation — percentiles come back as the inclusive upper
-/// bound of the bucket they land in, a conservative (never
-/// under-reporting) estimate that is exact for the budget questions the
-/// serving path asks ("did p99 stay within the round budget?").
+/// bound of the bucket they land in, clamped to the exact minimum and
+/// maximum recorded: a conservative (never under-reporting) estimate
+/// that never exceeds the largest value seen, and is exact for the
+/// budget questions the serving path asks ("did p99 stay within the
+/// round budget?").
 ///
 /// # Example
 ///
@@ -109,6 +111,10 @@ pub const CYCLE_HIST_BUCKETS: usize = 65;
 pub struct CycleHistogram {
     buckets: [u64; CYCLE_HIST_BUCKETS],
     total: u64,
+    /// Smallest value recorded (`u64::MAX` while empty).
+    min: u64,
+    /// Largest value recorded (0 while empty).
+    max: u64,
 }
 
 impl Default for CycleHistogram {
@@ -123,6 +129,8 @@ impl CycleHistogram {
         Self {
             buckets: [0; CYCLE_HIST_BUCKETS],
             total: 0,
+            min: u64::MAX,
+            max: 0,
         }
     }
 
@@ -134,6 +142,8 @@ impl CycleHistogram {
     pub fn record(&mut self, cycles: u64) {
         self.buckets[Self::bucket_of(cycles)] += 1;
         self.total += 1;
+        self.min = self.min.min(cycles);
+        self.max = self.max.max(cycles);
     }
 
     /// Number of rounds recorded.
@@ -148,6 +158,8 @@ impl CycleHistogram {
             *a += *b;
         }
         self.total += other.total;
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
     }
 
     /// The raw per-bucket counts, indexed by log₂ bucket (see the type
@@ -180,9 +192,10 @@ impl CycleHistogram {
     }
 
     /// The inclusive upper cycle bound of the bucket containing the
-    /// `q`-quantile round, or 0 for an empty histogram (whatever `q`).
-    /// `percentile(0.99)` is the p99 round cost, rounded up to the next
-    /// power-of-two boundary.
+    /// `q`-quantile round, clamped to the recorded minimum and maximum,
+    /// or 0 for an empty histogram (whatever `q`). `percentile(0.99)` is
+    /// the p99 round cost, rounded up to the next power-of-two boundary
+    /// but never above the largest cost recorded.
     ///
     /// Out-of-range quantiles are defined, never a bucket-index panic:
     /// `q ≤ 0` clamps to the minimum recorded cost's bucket, `q ≥ 1` to
@@ -200,14 +213,10 @@ impl CycleHistogram {
         for (b, &count) in self.buckets.iter().enumerate() {
             seen += count;
             if seen >= rank {
-                return match b {
-                    0 => 0,
-                    64 => u64::MAX,
-                    _ => (1u64 << b) - 1,
-                };
+                return Self::bucket_upper_bound(b).clamp(self.min, self.max);
             }
         }
-        u64::MAX
+        self.max
     }
 }
 
@@ -331,7 +340,7 @@ mod tests {
         assert_eq!(h.total(), 8);
         // Ranks: p0..p12.5 → bucket 0 (cycles 0), p100 → bucket of 100.
         assert_eq!(h.percentile(0.0), 0);
-        assert_eq!(h.percentile(1.0), 127);
+        assert_eq!(h.percentile(1.0), 100, "clamped to the maximum");
         // Median of the 8 samples sits among the small values.
         assert!(h.percentile(0.5) <= 7);
         // Percentile is a conservative upper bound: never below the
@@ -371,9 +380,9 @@ mod tests {
         for c in [3u64, 5, 9, 1000] {
             h.record(c);
         }
-        // p0 is the minimum's bucket bound, p100 the maximum's.
+        // p0 is the minimum's bucket bound, p100 the exact maximum.
         assert_eq!(h.percentile(0.0), 3);
-        assert_eq!(h.percentile(1.0), 1023);
+        assert_eq!(h.percentile(1.0), 1000);
         // Out-of-range quantiles clamp to those same ends.
         assert_eq!(h.percentile(-1.0), h.percentile(0.0));
         assert_eq!(h.percentile(f64::NEG_INFINITY), h.percentile(0.0));
@@ -410,7 +419,38 @@ mod tests {
         assert_eq!(CycleHistogram::bucket_upper_bound(1), 1);
         assert_eq!(CycleHistogram::bucket_upper_bound(10), 1023);
         assert_eq!(CycleHistogram::bucket_upper_bound(64), u64::MAX);
-        assert_eq!(h.percentile(1.0), CycleHistogram::bucket_upper_bound(10));
+        assert_eq!(h.percentile(0.5), CycleHistogram::bucket_upper_bound(1));
+    }
+
+    #[test]
+    fn cycle_histogram_percentiles_never_exceed_the_observed_range() {
+        // Commit lags of a windowed decoder: most rounds wait a whole
+        // stride, the largest wait is 26. Bucket 5 spans 16..=31, so the
+        // unclamped p99 was 31, above the maximum.
+        let mut h = CycleHistogram::new();
+        for lag in (9..=26).cycle().take(1000) {
+            h.record(lag);
+        }
+        assert_eq!(h.percentile(0.99), 26);
+        assert_eq!(h.percentile(1.0), 26);
+        assert!(
+            h.percentile(0.5) >= 17,
+            "still an upper bound of the median"
+        );
+        for q in [0.0, 0.01, 0.5, 0.9, 0.99, 1.0] {
+            let p = h.percentile(q);
+            assert!((9..=26).contains(&p), "q = {q}: {p}");
+        }
+        // Merging keeps the exact range of both sides.
+        let mut other = CycleHistogram::new();
+        other.record(40);
+        h.merge(&other);
+        assert_eq!(h.percentile(1.0), 40);
+        let mut low = CycleHistogram::new();
+        low.record(12);
+        low.record(13);
+        // Bucket 4 spans 8..=15: its bound falls to the maximum.
+        assert_eq!(low.percentile(0.0), 13);
     }
 
     #[test]

@@ -417,7 +417,7 @@ impl LatencyStats {
 
     /// Conservative p99 of the commit lag, in rounds behind the stream
     /// head (the inclusive upper bound of the histogram bucket the p99
-    /// committed round lands in).
+    /// committed round lands in, capped at the maximum lag).
     pub fn commit_lag_p99_rounds(&self) -> u64 {
         self.lag_histogram.percentile(0.99)
     }
@@ -438,7 +438,8 @@ impl LatencyStats {
     }
 
     /// Conservative p99 of the per-round decode cost (the inclusive
-    /// upper bound of the histogram bucket the p99 round lands in).
+    /// upper bound of the histogram bucket the p99 round lands in, capped
+    /// at the maximum cost).
     pub fn p99_cycles(&self) -> u64 {
         self.histogram.percentile(0.99)
     }

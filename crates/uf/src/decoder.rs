@@ -14,10 +14,17 @@
 //!
 //! Spatial tree edges emit data-qubit corrections (XOR-accumulated per
 //! qubit across rounds); temporal edges absorb measurement errors.
+//!
+//! A decode's work follows the defects, not the graph: each growth step
+//! visits only the nodes of active clusters, the peeler walks only
+//! erasure edges, and all scratch is reset through lists of the entries
+//! touched. The decoding graph and that scratch live in a per-thread
+//! workspace that is rebuilt only when the `(d, rounds)` shape changes.
 
 use crate::dsu::ClusterSets;
 use crate::graph::{DecodingGraph, GraphEdgeKind};
 use qecool_surface_code::{CodePatch, Edge, Lattice, SyndromeHistory};
+use std::cell::Cell;
 
 /// Result of one union-find decode.
 #[derive(Debug, Clone, Default)]
@@ -45,7 +52,7 @@ impl UfOutcome {
 /// callers use the per-component granularity to decide which matches to
 /// *commit* (a component whose earliest defect round falls inside the
 /// commit stride) and which to leave tentative for the next window.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct UfComponent {
     /// Data-qubit corrections contributed by this component
     /// (XOR-reduced within the component, sorted by qubit index).
@@ -68,7 +75,7 @@ impl UfComponent {
 
 /// Result of a per-component union-find decode
 /// ([`UnionFindDecoder::decode_components`]).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct UfComponentOutcome {
     /// The disjoint erasure components, in deterministic peel order.
     pub components: Vec<UfComponent>,
@@ -164,153 +171,284 @@ impl UnionFindDecoder {
             self.lattice.num_ancillas(),
             "history lattice does not match decoder lattice"
         );
-        let num_ancillas = self.lattice.num_ancillas();
-        let graph = DecodingGraph::new(&self.lattice, history.num_rounds());
-        let n = graph.num_nodes();
+        let rounds = history.num_rounds();
+        // Take the thread's workspace out of its slot for the decode: a
+        // panic mid-decode then drops it instead of leaving dirty scratch
+        // behind for the next caller.
+        let mut ws = match WORKSPACE.with(Cell::take) {
+            Some(ws) if ws.fits(&self.lattice, rounds) => ws,
+            _ => Workspace::new(&self.lattice, rounds),
+        };
+        let outcome = ws.decode(history);
+        WORKSPACE.with(|slot| slot.set(Some(ws)));
+        outcome
+    }
+}
 
-        // Defects and cluster bookkeeping.
-        let mut defect = vec![false; n];
+thread_local! {
+    /// One workspace per thread, for the last `(d, rounds)` shape decoded
+    /// on it. Decoders are cheap values shared across threads; keeping
+    /// the scratch here rather than in each decoder bounds memory by the
+    /// thread count, not the session count.
+    static WORKSPACE: Cell<Option<Workspace>> = const { Cell::new(None) };
+}
+
+/// The decoding graph of one `(d, rounds)` shape plus every scratch
+/// buffer a decode touches. Between decodes every per-node and per-edge
+/// array is back at its initial value; a decode records what it touches
+/// in the `grown` and `cluster` lists and resets only those entries, so
+/// its cost follows the defects and their growth, not the graph size.
+struct Workspace {
+    distance: usize,
+    num_ancillas: usize,
+    graph: DecodingGraph,
+    sets: ClusterSets,
+    /// Per-edge half-edge count: 0, 1, or 2 once fused into the erasure.
+    support: Vec<u8>,
+    /// Edges with nonzero support.
+    grown: Vec<u32>,
+    /// Fused edges, in fusion order.
+    erasure: Vec<u32>,
+    /// Per-node detection-event flag.
+    defect: Vec<bool>,
+    /// The detection-event nodes.
+    defects: Vec<u32>,
+    /// Per-node membership flag of `cluster`.
+    in_cluster: Vec<bool>,
+    /// Defects and fused-edge endpoints: every node whose cluster can
+    /// be active, and after growth every erasure endpoint.
+    cluster: Vec<u32>,
+    /// Per-node BFS flag of the peeler.
+    visited: Vec<bool>,
+    /// BFS tree `(parent node, edge)` of each visited non-root node.
+    parent: Vec<(u32, u32)>,
+    /// Per-node defect parity carried towards the root while peeling.
+    carry: Vec<bool>,
+    /// One component's nodes in BFS order.
+    order: Vec<u32>,
+    /// Per-data-qubit correction parity of the component being peeled.
+    flipped: Vec<bool>,
+    /// Data qubits toggled in `flipped` (with repeats).
+    flips: Vec<u32>,
+}
+
+impl Workspace {
+    fn new(lattice: &Lattice, rounds: usize) -> Self {
+        let graph = DecodingGraph::new(lattice, rounds);
+        let n = graph.num_nodes();
         let mut sets = ClusterSets::new(n);
+        for node in (0..n).filter(|&v| graph.is_boundary(v)) {
+            sets.set_boundary(node);
+        }
+        Self {
+            distance: lattice.distance(),
+            num_ancillas: lattice.num_ancillas(),
+            support: vec![0; graph.edges().len()],
+            grown: Vec::new(),
+            erasure: Vec::new(),
+            defect: vec![false; n],
+            defects: Vec::new(),
+            in_cluster: vec![false; n],
+            cluster: Vec::new(),
+            visited: vec![false; n],
+            parent: vec![(0, 0); n],
+            carry: vec![false; n],
+            order: Vec::new(),
+            flipped: vec![false; lattice.num_data_qubits()],
+            flips: Vec::new(),
+            sets,
+            graph,
+        }
+    }
+
+    fn fits(&self, lattice: &Lattice, rounds: usize) -> bool {
+        self.distance == lattice.distance() && self.graph.rounds() == rounds
+    }
+
+    fn decode(&mut self, history: &SyndromeHistory) -> UfComponentOutcome {
         for (t, round) in history.iter().enumerate() {
             for idx in round.events().iter_ones() {
-                let node = graph.cell(idx, t);
-                defect[node] = true;
-                sets.set_defect(node);
+                let node = self.graph.cell(idx, t);
+                self.defect[node] = true;
+                self.sets.set_defect(node);
+                self.defects.push(node as u32);
+                self.in_cluster[node] = true;
+                self.cluster.push(node as u32);
             }
         }
-        for node in 0..n {
-            if graph.is_boundary(node) {
-                sets.set_boundary(node);
-            }
-        }
-        let defects: Vec<usize> = (0..n).filter(|&v| defect[v]).collect();
-        if defects.is_empty() {
+        if self.defects.is_empty() {
             return UfComponentOutcome::default();
         }
+        let growth_steps = self.grow();
+        let components = self.peel();
+        let erasure_edges = self.erasure.len();
+        self.clear();
+        UfComponentOutcome {
+            components,
+            growth_steps,
+            erasure_edges,
+        }
+    }
 
-        // Phase 1: grow active clusters until neutral.
-        let mut support = vec![0u8; graph.edges().len()];
-        let mut growth_steps = 0;
-        loop {
-            if !defects.iter().any(|&v| sets.is_active(v)) {
-                break;
-            }
-            growth_steps += 1;
-            let mut fused: Vec<usize> = Vec::new();
-            for (i, e) in graph.edges().iter().enumerate() {
-                if support[i] >= 2 {
+    /// Phase 1: grows active clusters by a half-edge per step until all
+    /// are neutral; returns the step count. Only nodes of active
+    /// clusters bump their incident edges, so an edge between two active
+    /// nodes gains 2 in one step, as in a scan over every edge.
+    fn grow(&mut self) -> usize {
+        let mut steps = 0;
+        while self
+            .defects
+            .iter()
+            .any(|&v| self.sets.is_active(v as usize))
+        {
+            steps += 1;
+            let fused_before = self.erasure.len();
+            for i in 0..self.cluster.len() {
+                let v = self.cluster[i] as usize;
+                if !self.sets.is_active(v) {
                     continue;
                 }
-                let inc =
-                    u8::from(sets.is_active(e.u as usize)) + u8::from(sets.is_active(e.v as usize));
-                if inc == 0 {
-                    continue;
-                }
-                support[i] = (support[i] + inc).min(2);
-                if support[i] == 2 {
-                    fused.push(i);
+                for &e in self.graph.incident(v) {
+                    let support = &mut self.support[e as usize];
+                    match *support {
+                        0 => self.grown.push(e),
+                        1 => self.erasure.push(e),
+                        _ => continue,
+                    }
+                    *support += 1;
                 }
             }
             assert!(
-                !fused.is_empty() || growth_steps < 2 * graph.num_nodes(),
+                self.erasure.len() > fused_before || steps < 2 * self.graph.num_nodes(),
                 "union-find growth stalled"
             );
-            for i in fused {
-                let e = graph.edges()[i];
-                sets.union(e.u as usize, e.v as usize);
+            for &e in &self.erasure[fused_before..] {
+                let edge = self.graph.edges()[e as usize];
+                self.sets.union(edge.u as usize, edge.v as usize);
+                for end in [edge.u, edge.v] {
+                    if !self.in_cluster[end as usize] {
+                        self.in_cluster[end as usize] = true;
+                        self.cluster.push(end);
+                    }
+                }
             }
         }
+        steps
+    }
 
-        // Phase 2: peel the erasure.
-        let erasure: Vec<usize> = (0..support.len()).filter(|&i| support[i] == 2).collect();
-        let mut adj: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
-        for &i in &erasure {
-            let e = graph.edges()[i];
-            adj[e.u as usize].push((e.v, i as u32));
-            adj[e.v as usize].push((e.u, i as u32));
-        }
-
-        let mut visited = vec![false; n];
-        let mut components: Vec<UfComponent> = Vec::new();
-        // Roots: boundary nodes first so defects can drain into them.
-        let boundary_roots = (0..n).filter(|&v| graph.is_boundary(v));
-        let all_roots: Vec<usize> = boundary_roots.chain(0..n).collect();
-        for root in all_roots {
-            if visited[root] || adj[root].is_empty() {
+    /// Phase 2: peels a BFS spanning forest of the erasure, one component
+    /// per tree. Roots are the erasure endpoints, boundary nodes first so
+    /// defects can drain into them, each group ascending.
+    fn peel(&mut self) -> Vec<UfComponent> {
+        // Every defect is an erasure endpoint: a lone defect is an active
+        // cluster, so growth fused an edge at it.
+        self.cluster.sort_unstable();
+        let first_boundary = self
+            .cluster
+            .partition_point(|&v| !self.graph.is_boundary(v as usize));
+        let roots = (first_boundary..self.cluster.len()).chain(0..first_boundary);
+        let mut components = Vec::new();
+        for i in roots {
+            let root = self.cluster[i] as usize;
+            if self.visited[root] {
                 continue;
             }
             // BFS spanning tree of this erasure component.
-            let mut order: Vec<usize> = vec![root];
-            let mut parent_edge: Vec<Option<(usize, u32)>> = vec![None; n];
-            visited[root] = true;
+            self.visited[root] = true;
+            self.order.clear();
+            self.order.push(root as u32);
             let mut head = 0;
-            while head < order.len() {
-                let v = order[head];
+            while head < self.order.len() {
+                let v = self.order[head];
                 head += 1;
-                for &(w, ei) in &adj[v] {
-                    let w = w as usize;
-                    if !visited[w] {
-                        visited[w] = true;
-                        parent_edge[w] = Some((v, ei));
-                        order.push(w);
+                for &e in self.graph.incident(v as usize) {
+                    if self.support[e as usize] < 2 {
+                        continue;
+                    }
+                    let edge = self.graph.edges()[e as usize];
+                    let w = if edge.u == v { edge.v } else { edge.u };
+                    if !self.visited[w as usize] {
+                        self.visited[w as usize] = true;
+                        self.parent[w as usize] = (v, e);
+                        self.order.push(w);
                     }
                 }
             }
             // The detection events this component explains, in BFS
             // discovery order (boundary stubs never carry defects).
-            let comp_defects: Vec<(usize, usize)> = order
+            let na = self.num_ancillas;
+            let defects: Vec<(usize, usize)> = self
+                .order
                 .iter()
-                .filter(|&&v| defect[v])
-                .map(|&v| (v % num_ancillas, v / num_ancillas))
+                .map(|&v| v as usize)
+                .filter(|&v| self.defect[v])
+                .map(|v| (v % na, v / na))
                 .collect();
             // Peel leaf-first (reverse BFS order).
-            let mut qubit_parity = vec![false; self.lattice.num_data_qubits()];
-            let mut carry = defect.clone();
-            for &v in order.iter().skip(1).rev() {
-                if carry[v] {
-                    let (p, ei) = parent_edge[v].expect("non-root has a parent");
-                    carry[v] = false;
-                    carry[p] = !carry[p];
-                    if let GraphEdgeKind::Data(q) = graph.edges()[ei as usize].kind {
-                        qubit_parity[q.index()] ^= true;
+            for &v in &self.order {
+                self.carry[v as usize] = self.defect[v as usize];
+            }
+            for &v in self.order[1..].iter().rev() {
+                if self.carry[v as usize] {
+                    let (p, e) = self.parent[v as usize];
+                    self.carry[v as usize] = false;
+                    self.carry[p as usize] ^= true;
+                    if let GraphEdgeKind::Data(q) = self.graph.edges()[e as usize].kind {
+                        self.flipped[q.index()] ^= true;
+                        self.flips.push(q.index() as u32);
                     }
                 }
             }
             // Defects drained into this component's root must end on a
             // boundary (or cancel) — otherwise the cluster was not neutral.
             assert!(
-                !carry[root] || graph.is_boundary(root),
+                !self.carry[root] || self.graph.is_boundary(root),
                 "peeling left a defect on a non-boundary root"
             );
-            // Components are disjoint; clear the processed nodes so the
-            // trailing debug_assert can certify full coverage.
-            for &v in &order {
-                defect[v] = false;
-            }
+            self.flips.sort_unstable();
+            self.flips.dedup();
             // Defect-free components contribute no corrections (nothing
             // to carry) — keep only those that explain real events.
-            if !comp_defects.is_empty() {
-                let corrections: Vec<Edge> = qubit_parity
+            if !defects.is_empty() {
+                let corrections = self
+                    .flips
                     .iter()
-                    .enumerate()
-                    .filter_map(|(q, &on)| on.then_some(Edge(q)))
+                    .filter(|&&q| self.flipped[q as usize])
+                    .map(|&q| Edge(q as usize))
                     .collect();
                 components.push(UfComponent {
                     corrections,
-                    defects: comp_defects,
+                    defects,
                 });
             }
+            for &q in &self.flips {
+                self.flipped[q as usize] = false;
+            }
+            self.flips.clear();
         }
         debug_assert!(
-            defect.iter().all(|&d| !d),
+            self.defects.iter().all(|&v| self.visited[v as usize]),
             "some defect was outside every erasure component"
         );
+        components
+    }
 
-        UfComponentOutcome {
-            components,
-            growth_steps,
-            erasure_edges: erasure.len(),
+    /// Returns every entry this decode touched to its initial value.
+    fn clear(&mut self) {
+        for &e in &self.grown {
+            self.support[e as usize] = 0;
         }
+        for &v in &self.cluster {
+            let v = v as usize;
+            self.sets.reset(v, self.graph.is_boundary(v));
+            self.defect[v] = false;
+            self.in_cluster[v] = false;
+            self.visited[v] = false;
+        }
+        self.grown.clear();
+        self.erasure.clear();
+        self.defects.clear();
+        self.cluster.clear();
     }
 }
 

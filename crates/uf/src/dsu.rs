@@ -55,6 +55,16 @@ impl ClusterSets {
         self.boundary[x] = true;
     }
 
+    /// Returns element `x` to a fresh singleton (no defect, boundary flag
+    /// as given). Resetting every element a decode touched restores the
+    /// structure without reallocating it.
+    pub fn reset(&mut self, x: usize, boundary: bool) {
+        self.parent[x] = x as u32;
+        self.size[x] = 1;
+        self.odd[x] = false;
+        self.boundary[x] = boundary;
+    }
+
     /// Root of `x`'s cluster (with path compression).
     pub fn find(&mut self, x: usize) -> usize {
         let mut root = x;
@@ -162,6 +172,26 @@ mod tests {
         for i in 1..10 {
             assert_eq!(s.find(i), root);
         }
+    }
+
+    #[test]
+    fn reset_restores_touched_elements() {
+        let mut s = ClusterSets::new(4);
+        s.set_boundary(3);
+        s.set_defect(0);
+        s.set_defect(1);
+        s.union(0, 1);
+        s.union(1, 3);
+        for (x, boundary) in [(0, false), (1, false), (3, true)] {
+            s.reset(x, boundary);
+        }
+        for x in 0..4 {
+            assert_eq!(s.find(x), x);
+            assert!(!s.parity(x));
+        }
+        assert!(s.touches_boundary(3) && !s.touches_boundary(0));
+        s.set_defect(0);
+        assert!(s.is_active(0), "a reset element takes new defects");
     }
 
     #[test]

@@ -45,8 +45,12 @@ pub struct DecodingGraph {
     num_nodes: usize,
     first_boundary_node: usize,
     edges: Vec<GraphEdge>,
-    /// Incident edge indices per node.
-    incident: Vec<Vec<u32>>,
+    /// Incident edge indices of all nodes, node-major (CSR), each node's
+    /// run in ascending edge order.
+    incident: Vec<u32>,
+    /// `incident[incident_start[v]..incident_start[v + 1]]` is node `v`'s
+    /// run.
+    incident_start: Vec<u32>,
 }
 
 impl DecodingGraph {
@@ -104,10 +108,22 @@ impl DecodingGraph {
         }
 
         let num_nodes = next_boundary;
-        let mut incident = vec![Vec::new(); num_nodes];
+        let mut incident_start = vec![0u32; num_nodes + 1];
+        for e in &edges {
+            incident_start[e.u as usize + 1] += 1;
+            incident_start[e.v as usize + 1] += 1;
+        }
+        for v in 0..num_nodes {
+            incident_start[v + 1] += incident_start[v];
+        }
+        let mut fill = incident_start[..num_nodes].to_vec();
+        let mut incident = vec![0u32; 2 * edges.len()];
         for (i, e) in edges.iter().enumerate() {
-            incident[e.u as usize].push(i as u32);
-            incident[e.v as usize].push(i as u32);
+            for end in [e.u, e.v] {
+                let slot = &mut fill[end as usize];
+                incident[*slot as usize] = i as u32;
+                *slot += 1;
+            }
         }
         Self {
             rounds,
@@ -116,6 +132,7 @@ impl DecodingGraph {
             first_boundary_node: cell_nodes,
             edges,
             incident,
+            incident_start,
         }
     }
 
@@ -134,9 +151,11 @@ impl DecodingGraph {
         &self.edges
     }
 
-    /// Edge indices incident to `node`.
+    /// Edge indices incident to `node`, ascending.
     pub fn incident(&self, node: usize) -> &[u32] {
-        &self.incident[node]
+        let start = self.incident_start[node] as usize;
+        let end = self.incident_start[node + 1] as usize;
+        &self.incident[start..end]
     }
 
     /// Node index of detection cell `(ancilla_index, round)`.
@@ -195,6 +214,23 @@ mod tests {
                 assert_eq!(g.incident(n).len(), 1, "boundary node {n}");
             }
         }
+    }
+
+    #[test]
+    fn incident_lists_hold_each_edge_at_both_ends_in_ascending_order() {
+        let lat = Lattice::new(5).unwrap();
+        let g = DecodingGraph::new(&lat, 3);
+        let mut seen = vec![0; g.edges().len()];
+        for n in 0..g.num_nodes() {
+            let inc = g.incident(n);
+            assert!(inc.windows(2).all(|w| w[0] < w[1]), "node {n}: {inc:?}");
+            for &e in inc {
+                let edge = g.edges()[e as usize];
+                assert!(edge.u as usize == n || edge.v as usize == n);
+                seen[e as usize] += 1;
+            }
+        }
+        assert!(seen.iter().all(|&c| c == 2));
     }
 
     #[test]
