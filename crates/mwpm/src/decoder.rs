@@ -113,6 +113,11 @@ impl MwpmDecoder {
     /// to its 16 nearest events — the standard sparsification that leaves
     /// matching quality unchanged in practice while keeping the graph
     /// linear in the number of events).
+    ///
+    /// Building the capped graph costs, per event, O(n) distance
+    /// evaluations and an O(n) select of the `cap` nearest, then an
+    /// O(cap log cap) sort of just those; duplicate pairs are dropped by
+    /// an O(1) comparison, with no hash set.
     pub fn new(lattice: Lattice) -> Self {
         Self {
             lattice,
@@ -144,6 +149,54 @@ impl MwpmDecoder {
     /// 3-D Manhattan distance between two detection events.
     fn dist(&self, a: &DetectionEvent, b: &DetectionEvent) -> i64 {
         (self.lattice.grid_distance(a.ancilla, b.ancilla) + a.round.abs_diff(b.round)) as i64
+    }
+
+    /// The capped candidate event-event edges `(i, j, w)` with `i < j`:
+    /// node `i` proposes its `cap` smallest `(w, j)` keys, visited in
+    /// ascending `i` and then ascending key, and each pair is kept the
+    /// first time it is proposed.
+    ///
+    /// Keys are unique (`j` breaks ties), so an O(n) select followed by a
+    /// sort of the `cap`-long prefix yields exactly the set and order a
+    /// full sort would. A pair `{j, i}` with `j < i` was already proposed
+    /// by `j` iff `(w, i)` is no larger than `kth[j]`, the largest key
+    /// `j` kept, which replaces a hash-set lookup.
+    pub(crate) fn capped_pair_edges(
+        &self,
+        events: &[DetectionEvent],
+        cap: usize,
+    ) -> Vec<(usize, usize, i64)> {
+        let n = events.len();
+        let mut pair_edges = Vec::new();
+        if cap == 0 {
+            return pair_edges;
+        }
+        let mut kth = vec![(0i64, 0usize); n];
+        let mut near: Vec<(i64, usize)> = Vec::with_capacity(n);
+        for i in 0..n {
+            near.clear();
+            near.extend(
+                (0..n)
+                    .filter(|&j| j != i)
+                    .map(|j| (self.dist(&events[i], &events[j]), j)),
+            );
+            if cap < near.len() {
+                near.select_nth_unstable(cap - 1);
+                near.truncate(cap);
+            }
+            near.sort_unstable();
+            if let Some(&last) = near.last() {
+                kth[i] = last;
+            }
+            for &(w, j) in &near {
+                if j > i {
+                    pair_edges.push((i, j, w));
+                } else if (w, i) > kth[j] {
+                    pair_edges.push((j, i, w));
+                }
+            }
+        }
+        pair_edges
     }
 
     /// Decodes a full syndrome history (batch decoding).
@@ -184,37 +237,33 @@ impl MwpmDecoder {
 
         // Candidate event-event edges (possibly capped to nearest
         // neighbours).
-        let mut pair_edges: Vec<(usize, usize, i64)> = Vec::new();
-        match self.neighbor_cap {
+        let pair_edges = match self.neighbor_cap {
             None => {
+                let mut pair_edges = Vec::new();
                 for i in 0..n {
                     for j in i + 1..n {
                         pair_edges.push((i, j, self.dist(&events[i], &events[j])));
                     }
                 }
+                pair_edges
             }
-            Some(cap) => {
-                let mut seen = std::collections::HashSet::new();
-                for i in 0..n {
-                    let mut near: Vec<(i64, usize)> = (0..n)
-                        .filter(|&j| j != i)
-                        .map(|j| (self.dist(&events[i], &events[j]), j))
-                        .collect();
-                    near.sort_unstable();
-                    for &(w, j) in near.iter().take(cap) {
-                        let key = (i.min(j), i.max(j));
-                        if seen.insert(key) {
-                            pair_edges.push((key.0, key.1, w));
-                        }
-                    }
-                }
-            }
-        }
+            Some(cap) => self.capped_pair_edges(events, cap),
+        };
+        self.match_pair_edges(events, &pair_edges)
+    }
 
+    /// Matches `events` over the candidate edges `pair_edges` and projects
+    /// the solution onto matches and corrections.
+    fn match_pair_edges(
+        &self,
+        events: &[DetectionEvent],
+        pair_edges: &[(usize, usize, i64)],
+    ) -> Result<MwpmOutcome, PerfectMatchingError> {
+        let n = events.len();
         // Doubled graph: copy-1 nodes 0..n, copy-2 nodes n..2n, cross edges
         // i <-> n+i with weight 2 * boundary distance.
         let mut edges: Vec<(usize, usize, i64)> = Vec::with_capacity(2 * pair_edges.len() + n);
-        for &(i, j, w) in &pair_edges {
+        for &(i, j, w) in pair_edges {
             edges.push((i, j, w));
             edges.push((n + i, n + j, w));
         }
@@ -275,6 +324,94 @@ mod tests {
         let patch = CodePatch::new(lat.clone());
         let hist = SyndromeHistory::new(lat.clone());
         (lat, patch, hist)
+    }
+
+    /// The candidate-edge builder as it was before the select: a full sort
+    /// of every event's neighbour list and a hash set of emitted pairs.
+    /// One pass serves several caps, so each list is sorted only once.
+    fn reference_pair_edges(
+        decoder: &MwpmDecoder,
+        events: &[DetectionEvent],
+        caps: &[usize],
+    ) -> Vec<Vec<(usize, usize, i64)>> {
+        let n = events.len();
+        let mut pair_edges = vec![Vec::new(); caps.len()];
+        let mut seen = vec![std::collections::HashSet::new(); caps.len()];
+        for i in 0..n {
+            let mut near: Vec<(i64, usize)> = (0..n)
+                .filter(|&j| j != i)
+                .map(|j| (decoder.dist(&events[i], &events[j]), j))
+                .collect();
+            near.sort_unstable();
+            for (c, &cap) in caps.iter().enumerate() {
+                for &(w, j) in near.iter().take(cap) {
+                    let key = (i.min(j), i.max(j));
+                    if seen[c].insert(key) {
+                        pair_edges[c].push((key.0, key.1, w));
+                    }
+                }
+            }
+        }
+        pair_edges
+    }
+
+    /// `3d` noisy rounds plus the closing perfect round.
+    fn noisy_events(lat: &Lattice, p: f64, seed: u64) -> Vec<DetectionEvent> {
+        let noise = PhenomenologicalNoise::symmetric(p);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut patch = CodePatch::new(lat.clone());
+        let mut hist = SyndromeHistory::new(lat.clone());
+        for _ in 0..3 * lat.distance() {
+            hist.push(patch.noisy_round(&noise, &mut rng));
+        }
+        hist.push(patch.perfect_round());
+        hist.events()
+    }
+
+    #[test]
+    fn capped_pair_edges_match_the_sorting_reference() {
+        // Unoptimised builds run 3 seeds per case; `--release` runs 100.
+        let seeds = if cfg!(debug_assertions) { 3 } else { 100 };
+        for d in [3usize, 5, 9, 13] {
+            let lat = Lattice::new(d).unwrap();
+            let decoder = MwpmDecoder::new(lat.clone());
+            for p in [0.001, 0.005, 0.02, 0.05, 0.1] {
+                for seed in 0..seeds {
+                    let events = noisy_events(&lat, p, seed);
+                    let caps = [0usize, 1, 2, 16, 40];
+                    let reference = reference_pair_edges(&decoder, &events, &caps);
+                    for (&cap, expected) in caps.iter().zip(&reference) {
+                        assert_eq!(
+                            &decoder.capped_pair_edges(&events, cap),
+                            expected,
+                            "d={d} p={p} seed={seed} cap={cap} n={}",
+                            events.len()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn capped_decode_matches_the_sorting_reference() {
+        for d in [3usize, 5, 9] {
+            let lat = Lattice::new(d).unwrap();
+            for p in [0.005, 0.02, 0.05] {
+                for seed in 0..10u64 {
+                    let events = noisy_events(&lat, p, seed);
+                    for cap in [1usize, 2, 16] {
+                        let decoder = MwpmDecoder::new(lat.clone()).with_neighbor_cap(Some(cap));
+                        let fast = decoder.decode_events(&events).unwrap();
+                        let edges = reference_pair_edges(&decoder, &events, &[cap]);
+                        let reference = decoder.match_pair_edges(&events, &edges[0]).unwrap();
+                        let label = format!("d={d} p={p} seed={seed} cap={cap}");
+                        assert_eq!(fast.matches, reference.matches, "{label}");
+                        assert_eq!(fast.corrections, reference.corrections, "{label}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,11 +4,17 @@
 //!
 //! # Threading model
 //!
-//! A campaign is split into fixed-size **shards** of consecutive trial
-//! seeds. Shard boundaries depend only on
-//! [`EngineConfig::shard_shots`], never on the number of workers, so the
-//! same campaign produces byte-identical aggregates on 1, 2 or 64
-//! threads:
+//! A campaign is split into **shards** of consecutive trial seeds. Each
+//! job's shards are capped at [`EngineConfig::shard_shots`] trials and
+//! cut so a job of at least as many trials as workers spans at least
+//! one shard per worker: a 64-shot job on 2 workers runs as two 32-shot
+//! shards, a 10 000-shot job as 64-shot shards. Without the split, the
+//! heaviest point of a d-ascending sweep (MWPM at the largest `d`) would
+//! be queued last as one shard and run alone while the other workers
+//! wait. Shard boundaries thus depend on the worker count, but results
+//! do not: every [`McResult`] field merges by sum or max, and partials
+//! merge in trial order, so the same campaign produces byte-identical
+//! aggregates on 1, 2 or 64 threads and at any shard size:
 //!
 //! * a lock-free single-producer/multi-consumer work queue (an atomic
 //!   cursor over the precomputed shard list) feeds N worker threads;
@@ -49,7 +55,7 @@ use crate::campaign::derive_seed;
 use crate::montecarlo::McResult;
 use crate::trials::{run_trial_into, TrialConfig, TrialOutcome, TrialScratch};
 
-/// Default shard size: big enough to amortize queue traffic, small
+/// Default largest shard: big enough to amortize queue traffic, small
 /// enough to load-balance the heavy tails of near-threshold campaigns.
 pub const DEFAULT_SHARD_SHOTS: usize = 64;
 
@@ -58,8 +64,11 @@ pub const DEFAULT_SHARD_SHOTS: usize = 64;
 pub struct EngineConfig {
     /// Worker threads; `0` uses all available parallelism.
     pub threads: usize,
-    /// Trials per shard. Changing this re-chunks the work queue but does
-    /// **not** change any result — per-trial seeds are position-derived.
+    /// Largest shard, in trials. A job is cut into shards of
+    /// `min(shard_shots, ceil(shots / workers))` trials, so it spans at
+    /// least one shard per worker. Neither this nor the worker count
+    /// changes any result: per-trial seeds are position-derived and
+    /// partials merge by sum/max in trial order.
     pub shard_shots: usize,
 }
 
@@ -158,6 +167,29 @@ struct Shard {
     len: usize,
 }
 
+/// Cuts every job into shards of consecutive trials, in job order and
+/// then trial order. A job's shards hold
+/// `min(shard_shots, ceil(shots / workers))` trials (the last one may be
+/// shorter), so no shard exceeds `shard_shots` and every job of at least
+/// `workers` trials spans at least `workers` shards.
+fn plan_shards(jobs: &[McJob], shard_shots: usize, workers: usize) -> Vec<Shard> {
+    let mut shards = Vec::new();
+    for (job_idx, job) in jobs.iter().enumerate() {
+        let size = shard_shots.min(job.shots.div_ceil(workers));
+        let mut start = 0;
+        while start < job.shots {
+            let len = size.min(job.shots - start);
+            shards.push(Shard {
+                job: job_idx,
+                start,
+                len,
+            });
+            start += len;
+        }
+    }
+    shards
+}
+
 /// The parallel Monte-Carlo decode engine. See the module docs for the
 /// threading model.
 #[derive(Debug, Default)]
@@ -199,15 +231,16 @@ impl DecodeEngine {
         &self.tally
     }
 
-    fn effective_threads(&self, shards: usize) -> usize {
-        let hw = if self.config.threads > 0 {
+    /// The configured worker count, resolving `0` to the available
+    /// parallelism.
+    fn workers(&self) -> usize {
+        if self.config.threads > 0 {
             self.config.threads
         } else {
             std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1)
-        };
-        hw.min(shards).max(1)
+        }
     }
 
     /// Runs one campaign; equivalent to a single-job [`Self::run_batch`].
@@ -225,22 +258,10 @@ impl DecodeEngine {
     /// points do not leave workers idle while an expensive point
     /// finishes — cross-job work stealing for free.
     pub fn run_batch(&self, jobs: &[McJob]) -> Vec<McResult> {
-        let mut shards = Vec::new();
-        for (job_idx, job) in jobs.iter().enumerate() {
-            let mut start = 0;
-            while start < job.shots {
-                let len = self.config.shard_shots.min(job.shots - start);
-                shards.push(Shard {
-                    job: job_idx,
-                    start,
-                    len,
-                });
-                start += len;
-            }
-        }
-
+        let workers = self.workers();
+        let shards = plan_shards(jobs, self.config.shard_shots, workers);
         let cursor = AtomicUsize::new(0);
-        let threads = self.effective_threads(shards.len());
+        let threads = workers.min(shards.len()).max(1);
 
         let per_worker: Vec<Vec<(usize, McResult)>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
@@ -279,8 +300,9 @@ impl DecodeEngine {
         });
 
         // Deterministic aggregation: merge partials in shard order, which
-        // depends only on the job list and shard size — never on which
-        // worker ran what, or when.
+        // is trial order within each job — never which worker ran what,
+        // or when. Every field merges by sum or max, so where the shard
+        // boundaries fall cannot change the result either.
         let mut flat: Vec<(usize, McResult)> = per_worker.into_iter().flatten().collect();
         flat.sort_unstable_by_key(|&(shard_idx, _)| shard_idx);
         let mut results = vec![McResult::default(); jobs.len()];
@@ -316,6 +338,69 @@ mod tests {
             assert_eq!(parallel.matches, reference.matches);
             assert_eq!(parallel.layer_cycles, reference.layer_cycles);
             assert_eq!(parallel.vertical_hist, reference.vertical_hist);
+        }
+    }
+
+    fn shard_lens(shots: usize, shard_shots: usize, workers: usize) -> Vec<usize> {
+        let cfg = TrialConfig::standard(3, 0.01, DecoderKind::BatchQecool);
+        plan_shards(&[McJob::new(cfg, shots, 0)], shard_shots, workers)
+            .iter()
+            .map(|s| s.len)
+            .collect()
+    }
+
+    #[test]
+    fn shard_plan_splits_every_job_across_the_workers() {
+        assert_eq!(shard_lens(64, 64, 2), [32, 32]);
+        let mut long = vec![64; 15];
+        long.push(40);
+        assert_eq!(shard_lens(1000, 64, 2), long);
+        assert_eq!(shard_lens(1, 64, 8), [1]);
+        assert_eq!(shard_lens(3, 64, 8), [1, 1, 1]);
+        assert_eq!(shard_lens(65, 64, 2), [33, 32]);
+        let mut capped = vec![7; 9];
+        capped.push(1);
+        assert_eq!(shard_lens(64, 7, 2), capped);
+        assert!(shard_lens(0, 64, 2).is_empty());
+
+        // Shards run in job order, then trial order, and tile each job.
+        let cfg = TrialConfig::standard(3, 0.01, DecoderKind::BatchQecool);
+        let jobs = [McJob::new(cfg, 10, 0), McJob::new(cfg, 5, 0)];
+        let plan: Vec<_> = plan_shards(&jobs, 64, 2)
+            .iter()
+            .map(|s| (s.job, s.start, s.len))
+            .collect();
+        assert_eq!(plan, [(0, 0, 5), (0, 5, 5), (1, 0, 3), (1, 3, 2)]);
+    }
+
+    #[test]
+    fn mixed_batch_is_identical_across_threads_and_shard_sizes() {
+        let budget_cycles = 400;
+        let mut jobs = Vec::new();
+        for d in [3usize, 5] {
+            for kind in [
+                DecoderKind::BatchQecool,
+                DecoderKind::OnlineQecool { budget_cycles },
+                DecoderKind::UnionFind,
+                DecoderKind::Mwpm,
+            ] {
+                let mut job = McJob::new(TrialConfig::standard(d, 0.03, kind), 30, 11);
+                job.stream = jobs.len() as u64;
+                jobs.push(job);
+            }
+        }
+        // The heaviest job (MWPM at d = 5) sits last, as in a sweep.
+        jobs.last_mut().unwrap().shots = 70;
+        let reference = DecodeEngine::with_threads(1).run_batch(&jobs);
+        for threads in [1, 2, 3, 8] {
+            for shard_shots in [1, 7, 64] {
+                let results = DecodeEngine::with_config(EngineConfig {
+                    threads,
+                    shard_shots,
+                })
+                .run_batch(&jobs);
+                assert_eq!(results, reference, "{threads} threads, shard {shard_shots}");
+            }
         }
     }
 

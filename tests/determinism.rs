@@ -78,10 +78,13 @@ fn engine_aggregates_identical_across_worker_counts() {
         assert_eq!(a.vertical_hist, b.vertical_hist, "{label}: vertical hist");
     };
     // Cover both an overflow-free batch campaign and an online campaign
-    // with real overflow pressure (d = 9 at a starved budget).
+    // with real overflow pressure (d = 9 at a starved budget), plus the
+    // union-find and MWPM baselines.
     let campaigns = [
         TrialConfig::standard(5, 0.03, DecoderKind::BatchQecool),
         TrialConfig::standard(9, 0.02, DecoderKind::OnlineQecool { budget_cycles: 200 }),
+        TrialConfig::standard(5, 0.03, DecoderKind::UnionFind),
+        TrialConfig::standard(5, 0.03, DecoderKind::Mwpm),
     ];
     for cfg in campaigns {
         let reference = DecodeEngine::with_threads(1).run(&cfg, 160, 2021);
