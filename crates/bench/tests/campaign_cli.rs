@@ -127,7 +127,7 @@ fn corrupt_and_mismatched_checkpoints_exit_two_with_named_errors() {
     // Schema version from the future.
     fs::write(
         &checkpoint,
-        good.replacen("\"version\":2", "\"version\":42", 1),
+        good.replacen("\"version\":3", "\"version\":42", 1),
     )
     .unwrap();
     assert_exit_2(

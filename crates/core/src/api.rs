@@ -355,9 +355,10 @@ pub trait SyndromeSource {
 }
 
 /// The internal simulator behind the [`SyndromeSource`] seam: a
-/// [`CodePatch`] advanced by a noise model and a seeded RNG, producing
-/// exactly the round stream the pre-seam inline loops produced (same
-/// per-round RNG draws, so digests are unchanged).
+/// [`CodePatch`] advanced by a noise model and a seeded RNG. Each round
+/// draws from the RNG only per flip (geometric-gap sampling, see
+/// `qecool_surface_code::noise`), so a round costs O(flips) draws, and
+/// a seed fixes the whole round stream — and so every session digest.
 #[derive(Debug, Clone)]
 pub struct SimulatedSource {
     patch: CodePatch,

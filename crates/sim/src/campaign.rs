@@ -36,7 +36,7 @@
 //!
 //! ```json
 //! {
-//!   "version": 2,
+//!   "version": 3,
 //!   "job_list_hash": 1234,        // FNV-1a over jobs + seed layout
 //!   "base_seed": 2021,
 //!   "chunk_shots": 64,
@@ -53,8 +53,9 @@
 //! }
 //! ```
 //!
-//! * `version` is [`CHECKPOINT_VERSION`]. Any change to the schema or to
-//!   the seed-derivation function bumps it; resuming across versions is
+//! * `version` is [`CHECKPOINT_VERSION`]. Any change to the schema, to
+//!   the seed-derivation function or to the noise sampler's RNG stream
+//!   bumps it; resuming across versions is
 //!   a hard [`CampaignError::VersionMismatch`], never a best-effort
 //!   migration, because silent reinterpretation would break the
 //!   byte-identity guarantee.
@@ -99,9 +100,15 @@ use crate::trials::{DecoderKind, TrialConfig};
 use qecool_surface_code::NoiseSpec;
 
 /// Schema version of the checkpoint file. Bumped on any change to the
-/// serialized fields **or** to [`derive_seed`] — both would break the
-/// resumed-equals-uninterrupted guarantee across versions.
-pub const CHECKPOINT_VERSION: u64 = 2;
+/// serialized fields, to [`derive_seed`], **or** to the noise sampler's
+/// RNG stream (the draws `qecool_surface_code::noise` makes per round)
+/// — each would break the resumed-equals-uninterrupted guarantee across
+/// versions: a checkpoint's tallies only extend a run whose remaining
+/// trials draw exactly as the finished ones did.
+///
+/// v3: noise is sampled by geometric gaps (one draw per flip, not one
+/// per site), which changes every trial's outcome for a given seed.
+pub const CHECKPOINT_VERSION: u64 = 3;
 
 /// SplitMix64 finalizer: the standard 64-bit avalanche mix.
 #[inline]
@@ -1204,7 +1211,7 @@ mod tests {
             }),
         };
         let text = format!(
-            "{{\"version\":2,\"job_list_hash\":{},\"base_seed\":4,\"chunk_shots\":16,\
+            "{{\"version\":3,\"job_list_hash\":{},\"base_seed\":4,\"chunk_shots\":16,\
              \"round_chunks\":2,\"stop\":{{\"target_ci_width\":0.01,\"extra_shot_budget\":200}},\
              \"budget_left\":200,\"chunks_done\":3,\
              \"jobs\":[{{\"shots\":40,\"failures\":40,\"overflows\":0,\"matches\":0,\
@@ -1241,7 +1248,7 @@ mod tests {
             );
         }
 
-        let versioned = text.replacen("\"version\":2", "\"version\":99", 1);
+        let versioned = text.replacen("\"version\":3", "\"version\":99", 1);
         assert!(matches!(
             CampaignRunner::resume_from_str(&engine, jobs.clone(), config, &versioned),
             Err(CampaignError::VersionMismatch {
@@ -1253,12 +1260,23 @@ mod tests {
         // A v1 file (pre-NoiseSpec schema: noise hashed as a bare kind
         // tag) must be a named version mismatch, never a silent
         // reinterpretation under the new job-list hash.
-        let old = text.replacen("\"version\":2", "\"version\":1", 1);
+        let old = text.replacen("\"version\":3", "\"version\":1", 1);
         assert!(matches!(
             CampaignRunner::resume_from_str(&engine, jobs.clone(), config, &old),
             Err(CampaignError::VersionMismatch {
                 found: 1,
                 expected: CHECKPOINT_VERSION
+            })
+        ));
+
+        // A v2 file (per-site noise draws) holds tallies of trials drawn
+        // from the old stream: resuming it would splice two streams.
+        let v2 = text.replacen("\"version\":3", "\"version\":2", 1);
+        assert!(matches!(
+            CampaignRunner::resume_from_str(&engine, jobs.clone(), config, &v2),
+            Err(CampaignError::VersionMismatch {
+                found: 2,
+                expected: 3
             })
         ));
 

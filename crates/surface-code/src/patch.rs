@@ -17,7 +17,7 @@ use rand::Rng;
 
 use crate::bitvec::BitVec;
 use crate::geometry::{Ancilla, Boundary, Edge, Lattice, SupportMasks};
-use crate::noise::NoiseModel;
+use crate::noise::{bernoulli_hits, NoiseModel};
 use crate::syndrome::DetectionRound;
 
 /// A simulated distance-`d` surface-code patch (X sector).
@@ -121,8 +121,8 @@ impl CodePatch {
     /// Applies one round of data noise, delegating the whole pass to the
     /// model ([`NoiseModel::apply_data_round`]): i.i.d. families flip
     /// each data qubit independently with the model's data error rate
-    /// (via the trait's default body, which keeps the historical RNG
-    /// stream draw for draw); correlated families own their own loop.
+    /// (via the trait's default body, which draws only per flip);
+    /// correlated families own their own pass.
     pub fn apply_data_noise<N: NoiseModel, R: Rng + ?Sized>(&mut self, noise: &N, rng: &mut R) {
         noise.apply_data_round(&mut self.errors, None, rng);
     }
@@ -231,6 +231,11 @@ impl CodePatch {
     /// RNG stream, zero allocations. This is the hot-loop variant the
     /// Monte-Carlo engine and the decoding service run on.
     ///
+    /// Each ancilla's readout flips independently at the model's
+    /// measurement error rate. The flips are drawn by [`bernoulli_hits`]:
+    /// one RNG draw per misread ancilla plus at most one more, not one
+    /// per ancilla.
+    ///
     /// # Panics
     ///
     /// Panics if `out` does not have one bit per ancilla.
@@ -243,13 +248,7 @@ impl CodePatch {
         let q = noise.measurement_error_rate();
         let mut reported = std::mem::take(&mut self.reported_scratch);
         self.true_syndrome_into(&mut reported);
-        if q > 0.0 {
-            for idx in 0..reported.len() {
-                if rng.gen_bool(q) {
-                    reported.toggle(idx);
-                }
-            }
-        }
+        bernoulli_hits(reported.len(), q, rng, |idx, _| reported.toggle(idx));
         self.latch_events_into(reported, out);
     }
 

@@ -154,24 +154,35 @@ fn corrupted_and_mismatched_checkpoints_are_named_errors() {
     ));
 
     // Schema version from the future.
-    fs::write(&path, good.replacen("\"version\":2", "\"version\":7", 1)).unwrap();
+    fs::write(&path, good.replacen("\"version\":3", "\"version\":7", 1)).unwrap();
     assert!(matches!(
         CampaignRunner::resume(&engine, jobs(), config(), &path),
         Err(CampaignError::VersionMismatch {
             found: 7,
-            expected: 2
+            expected: 3
         })
     ));
 
     // A pre-NoiseSpec (v1) checkpoint is named too, never silently
     // resumed: the job-list hash folds noise parameters the old schema
     // did not carry.
-    fs::write(&path, good.replacen("\"version\":2", "\"version\":1", 1)).unwrap();
+    fs::write(&path, good.replacen("\"version\":3", "\"version\":1", 1)).unwrap();
     assert!(matches!(
         CampaignRunner::resume(&engine, jobs(), config(), &path),
         Err(CampaignError::VersionMismatch {
             found: 1,
-            expected: 2
+            expected: 3
+        })
+    ));
+
+    // A v2 checkpoint was written under per-site noise draws: its
+    // tallies come from another RNG stream, so it is named too.
+    fs::write(&path, good.replacen("\"version\":3", "\"version\":2", 1)).unwrap();
+    assert!(matches!(
+        CampaignRunner::resume(&engine, jobs(), config(), &path),
+        Err(CampaignError::VersionMismatch {
+            found: 2,
+            expected: 3
         })
     ));
 
